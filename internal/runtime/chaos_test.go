@@ -186,7 +186,6 @@ func TestChaosWatchdogTimeBound(t *testing.T) {
 		return &wedgeProgram{inner: h.fresh(), at: 2, sleep: 2 * time.Second, trips: trips, max: 1}
 	}
 	opts.Watchdog = 40 * time.Millisecond
-	opts.WatchdogGrace = 40 * time.Millisecond
 	opts.Sink = nil
 
 	begin := time.Now()

@@ -1,155 +1,133 @@
 // Warm-standby recovery: when the driver learns of an upcoming
-// eviction a WarningWindow early — from the market's forecast price
+// eviction a warning window early — from the market's forecast price
 // crossing, or from a launcher that forewarns a scheduled worker death
 // — it re-decides the fallback configuration immediately and boots the
-// next coordinator listener and worker set *concurrently* with the
-// still-running doomed session. The standby workers prefetch the
-// newest checkpoint chain into a read-through cache while they wait for
-// the coordinator to accept, and when the window also fits one
-// checkpoint save the doomed session is forced to seal a final
-// checkpoint at the eviction boundary. At the eviction instant the
-// driver cuts over: the standby's wait + boot + reload all happened
-// inside the window, overlapped with paid-for compute, so the recovery
-// downtime on the virtual clock is zero and the resume point is within
-// one superstep of the boundary. A standby that cannot be ready in
-// time (market capacity, launch failure, eviction landing early) is a
-// recorded miss and the driver falls back to the reactive path — the
-// run still finishes, just with cold recovery billing.
+// next deployment *concurrently* with the still-running doomed
+// segment. The standby workers prefetch the newest checkpoint chain
+// into a read-through cache while they wait for the coordinator to
+// accept, and when the window also fits one checkpoint save the doomed
+// segment is forced to seal a final checkpoint at the eviction
+// boundary. At the eviction instant the driver cuts over: the
+// standby's wait + boot + reload all happened inside the window,
+// overlapped with paid-for compute, so the recovery downtime on the
+// virtual clock is zero and the resume point is within one superstep
+// of the boundary. A standby that cannot be ready in time (market
+// capacity, launch failure, eviction landing early) is a recorded miss
+// and the driver falls back to the reactive path — the run still
+// finishes, just with cold recovery billing.
+
 package runtime
 
 import (
 	"context"
 	"math"
-	"net"
 
 	"hourglass/internal/core"
 	"hourglass/internal/obs"
 	"hourglass/internal/units"
 )
 
-// standbyState is one armed standby. The orchestration goroutine owns
-// every field until it closes done; afterwards the driver goroutine
-// owns them. A standby that never became launchable leaves ws nil.
-type standbyState struct {
+// standby is one armed standby. The orchestration goroutine owns every
+// field until it closes done; afterwards the driver goroutine owns
+// them. A standby that never became launchable leaves booted.dep nil.
+type standby struct {
 	done chan struct{}
+	booted
 
 	cs      *core.ConfigStats
 	avail   units.Seconds // market availability of the standby set
 	readyAt units.Seconds // avail + boot + prefetch: earliest cutover
 	reload  units.Seconds // prefetch I/O priced into readyAt
-	ln      net.Listener
-	ws      WorkerSet
-	cancel  context.CancelFunc
-	attempt int
 }
 
-// armStandby wires the warning machinery into a session about to start:
-// it projects the interruption boundary (injected market eviction,
-// forewarned worker death, whichever lands first), decides whether the
-// window fits a final in-window save, and hands the monitor a warning
-// trigger that spawns the standby orchestration goroutine. It returns
-// the forced-checkpoint superstep for the dist config (0 = none) and
-// the armed state (nil = no warning possible for this segment).
-func (d *distDriver) armStandby(ctx context.Context, mon *distMonitor, cs *core.ConfigStats, attempt, evictAfter, remSteps int, secPerStep, nextEvict units.Seconds) (int, *standbyState) {
-	if d.opts.WarningWindow <= 0 {
-		return 0, nil
+// armStandby wires the warning machinery into a segment about to
+// start: it projects the interruption boundary (injected market
+// eviction, forewarned worker death, whichever lands first), decides
+// whether the window fits a final in-window save (seg.forceAt), and
+// hands the monitor a warning trigger that spawns the standby
+// orchestration goroutine. It returns nil when no warning is possible
+// for this segment.
+func (d *driver) armStandby(ctx context.Context, mon *monitor, seg *segment, cs *core.ConfigStats, secPerStep, nextEvict units.Seconds) *standby {
+	window := d.cfg.warning
+	if window <= 0 {
+		return nil
 	}
-	// The interruption boundary in session supersteps, and the virtual
+	// The interruption boundary in segment supersteps, and the virtual
 	// instant the machines disappear.
-	boundary := evictAfter
+	done := d.progress()
+	boundary := mon.evictAfter
 	evProj := nextEvict
-	if ws, ok := d.opts.Launcher.(WarningSource); ok {
-		if die := ws.DeathWarning(attempt); die > 0 {
-			// The worker dies while computing absolute superstep `die`,
-			// so the session completes die-1 supersteps past the durable
-			// frontier.
-			deathSteps := die - 1 - d.durable
-			if deathSteps >= 1 && deathSteps < remSteps && (boundary == 0 || deathSteps < boundary) {
-				boundary = deathSteps
-				evProj = d.t + units.Seconds(float64(deathSteps)*float64(secPerStep))
-			}
+	if d.live.dieAt > 0 {
+		// The worker dies while computing absolute superstep dieAt, so
+		// the segment completes dieAt-1 supersteps past its start.
+		deathSteps := d.live.dieAt - 1 - done
+		if deathSteps >= 1 && deathSteps < seg.steps && (boundary == 0 || deathSteps < boundary) {
+			boundary = deathSteps
+			evProj = d.t + units.Seconds(float64(deathSteps)*float64(secPerStep))
 		}
 	}
 	if boundary <= 0 {
-		return 0, nil
+		return nil
 	}
 
-	warnSteps := int(math.Ceil(float64(d.opts.WarningWindow) / float64(secPerStep)))
-	if warnSteps < 1 {
-		warnSteps = 1
-	}
-	warnAfter := boundary - warnSteps
-	if warnAfter < 1 {
-		warnAfter = 1
-	}
-	warnAt := evProj - d.opts.WarningWindow
-	if warnAt < d.t {
-		warnAt = d.t
-	}
+	warnSteps := max(1, int(math.Ceil(float64(window)/float64(secPerStep))))
+	warnAt := max(d.t, evProj-window)
 
 	// When the window fits one save, force a final checkpoint at the
 	// boundary: the standby resumes from the eviction instant itself
 	// instead of the last cadence checkpoint.
-	forceCkptAt := 0
-	projDurable := d.durable
-	if d.opts.WarningWindow >= cs.Save {
-		forceCkptAt = d.durable + boundary
-		projDurable = d.durable + boundary
-		if evictAfter > 0 && boundary == evictAfter {
-			// Injected eviction: the monitor must let the forced save
-			// seal before cancelling. A forewarned death needs no monitor
-			// trip — the loss itself ends the session.
-			mon.warmBoundary = forceCkptAt
+	projDurable := done
+	if window >= cs.Save {
+		seg.forceAt = done + boundary
+		projDurable = seg.forceAt
+		if mon.evictAfter > 0 && boundary == mon.evictAfter {
+			// Injected eviction: the monitor must let the forced save seal
+			// before cancelling. A forewarned death needs no monitor trip
+			// — the loss itself ends the segment.
+			mon.warmBoundary = seg.forceAt
 		}
-	} else if every := d.opts.CheckpointEvery; every > 0 {
+	} else if every := d.cfg.cadence; every > 0 {
 		// Reactive durability: project the last cadence checkpoint that
 		// seals strictly before the boundary.
-		projDurable = d.durable + (boundary-1)/every*every
+		projDurable = done + (boundary-1)/every*every
 	}
 
-	sb := &standbyState{done: make(chan struct{}), attempt: attempt + 1}
-	mon.warnAfter = warnAfter
+	sb := &standby{done: make(chan struct{})}
+	mon.warnAfter = max(1, boundary-warnSteps)
 	mon.onWarn = func() {
 		go d.startStandby(ctx, sb, cs, warnAt, evProj, projDurable)
 	}
-	return forceCkptAt, sb
+	return sb
 }
 
 // startStandby is the orchestration goroutine behind a fired warning.
-// It runs concurrently with the doomed session; the driver goroutine is
-// parked inside dist.AcceptAndRun and joins on sb.done before reading
-// the report again, so the report mutations here are unsynchronized by
-// design. Billing is deferred to cutover/discard time on the driver
-// goroutine to keep the EvSpend fold order deterministic.
-func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *core.ConfigStats, warnAt, evProj units.Seconds, projDurable int) {
+// It runs concurrently with the doomed segment; the driver goroutine
+// is parked inside the deployment's run and joins on sb.done before
+// reading the report again, so the report mutations here are
+// unsynchronized by design. Billing is deferred to cutover/discard
+// time on the driver goroutine to keep the EvSpend fold order
+// deterministic.
+func (d *driver) startStandby(ctx context.Context, sb *standby, cur *core.ConfigStats, warnAt, evProj units.Seconds, projDurable int) {
 	defer close(sb.done)
-	env := d.opts.Env
-	wl := workLeft(d.opts.TotalSupersteps, projDurable)
+	wl := d.workLeft(projDurable)
 	d.rep.Warnings++
-	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Job: env.Job.Name,
-		Config: cur.Config.ID(), WorkLeft: wl, DurSec: float64(d.opts.WarningWindow)})
+	d.emit(obs.Event{Type: obs.EvWarning, T: float64(warnAt), Config: cur.Config.ID(),
+		WorkLeft: wl, DurSec: float64(d.cfg.warning)})
 
 	// Re-decide for the post-eviction world: the standby takes over at
 	// the projected eviction instant with the projected durable frontier.
-	st := core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline}
 	d.rep.Decisions++
-	_, cs, err := d.decide(env, st)
+	_, cs, err := d.decide(core.State{Now: evProj, WorkLeft: wl, Deadline: d.deadline})
 	if err != nil {
 		d.standbyMiss(warnAt, "", err)
 		return
 	}
-	shards := cs.Config.Count
-	avail, err := env.Market.NextAvailable(cs.Config, warnAt)
+	avail, err := d.cfg.env.Market.NextAvailable(cs.Config, warnAt)
 	if err != nil {
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
 		return
 	}
-	var reload units.Seconds
-	if projDurable > 0 {
-		reload = d.reloadTime(shards)
-	} else {
-		reload = cs.Load
-	}
+	reload := d.loadTime(cs, projDurable, 0)
 	readyAt := avail + cs.Boot + reload
 	if readyAt > evProj {
 		// The fallback machines cannot be up before the primaries die:
@@ -157,50 +135,33 @@ func (d *distDriver) startStandby(ctx context.Context, sb *standbyState, cur *co
 		d.standbyMiss(warnAt, cs.Config.ID(), nil)
 		return
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The standby outlives the doomed segment by design: it is tied to
+	// the run context and torn down at adoption's end or discard.
+	b, err := d.exec.boot(ctx, cs, d.rep.Reconfigs, true)
 	if err != nil {
 		d.standbyMiss(warnAt, cs.Config.ID(), err)
 		return
 	}
-	// The standby outlives the doomed segment's context by design: tie
-	// it to the run context and cancel at adoption or discard.
-	sbCtx, cancel := context.WithCancel(ctx)
-	var ws WorkerSet
-	if sl, ok := d.opts.Launcher.(StandbyLauncher); ok {
-		ws, err = sl.LaunchStandby(sbCtx, ln.Addr().String(), shards, sb.attempt, d.opts.Job)
-	} else {
-		ws, err = d.opts.Launcher.Launch(sbCtx, ln.Addr().String(), shards, sb.attempt)
-	}
-	if err != nil {
-		cancel()
-		ln.Close()
-		d.standbyMiss(warnAt, cs.Config.ID(), err)
-		return
-	}
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Job: env.Job.Name,
-		Config: cs.Config.ID(), WorkLeft: wl, Ready: true})
-	sb.cs, sb.avail, sb.readyAt, sb.reload = cs, avail, readyAt, reload
-	sb.ln, sb.ws, sb.cancel = ln, ws, cancel
+	d.emit(obs.Event{Type: obs.EvStandby, T: float64(warnAt), Config: cs.Config.ID(),
+		WorkLeft: wl, Ready: true})
+	sb.booted, sb.cs, sb.avail, sb.readyAt, sb.reload = b, cs, avail, readyAt, reload
 }
 
 // standbyMiss records a standby that never became launchable.
-func (d *distDriver) standbyMiss(at units.Seconds, config string, err error) {
+func (d *driver) standbyMiss(at units.Seconds, config string, err error) {
 	if err != nil {
-		d.opts.logf("runtime: dist job %q standby infeasible: %v", d.opts.Env.Job.Name, err)
+		d.cfg.logf("runtime: job %q standby infeasible: %v", d.cfg.env.Job.Name, err)
 	}
 	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Job: d.opts.Env.Job.Name,
-		Config: config, Ready: false})
+	d.emit(obs.Event{Type: obs.EvStandby, T: float64(at), Config: config, Ready: false})
 }
 
 // settleStandby decides a launched standby's fate at the eviction that
 // ended its segment, at absolute time evTime. Ready in time: bill the
 // overlap window on the standby config, record the warm cutover and
-// hand the set to the next run-loop iteration. Not ready (or never
-// launched): discard.
-func (d *distDriver) settleStandby(sb *standbyState, evTime units.Seconds) error {
-	if sb == nil || sb.ws == nil {
+// hand the set to the next loop iteration. Not ready: discard.
+func (d *driver) settleStandby(sb *standby, evTime units.Seconds) error {
+	if sb == nil || sb.dep == nil {
 		return nil // not armed, or the miss was already recorded
 	}
 	if sb.readyAt > evTime {
@@ -214,17 +175,16 @@ func (d *distDriver) settleStandby(sb *standbyState, evTime units.Seconds) error
 	}
 	d.rep.IOTime += sb.reload
 	d.rep.WarmCutovers++
-	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Job: d.opts.Env.Job.Name,
-		Config: sb.cs.Config.ID(), WorkLeft: workLeft(d.opts.TotalSupersteps, d.durable),
-		DurSec: 0})
+	d.emit(obs.Event{Type: obs.EvCutover, T: float64(evTime), Config: sb.cs.Config.ID(),
+		WorkLeft: d.workLeft(d.progress()), DurSec: 0})
 	d.pending = sb
 	return nil
 }
 
 // discardStandby releases a launched standby that never cut over,
 // billing its machines for the time they ran and recording the miss.
-func (d *distDriver) discardStandby(sb *standbyState, billTo units.Seconds) error {
-	if sb == nil || sb.ws == nil {
+func (d *driver) discardStandby(sb *standby, billTo units.Seconds) error {
+	if sb == nil || sb.dep == nil {
 		return nil
 	}
 	d.teardownStandby(sb)
@@ -233,21 +193,15 @@ func (d *distDriver) discardStandby(sb *standbyState, billTo units.Seconds) erro
 			return err
 		}
 	}
-	d.rep.StandbyMisses++
-	d.emit(obs.Event{Type: obs.EvStandby, T: float64(billTo), Job: d.opts.Env.Job.Name,
-		Config: sb.cs.Config.ID(), Ready: false})
+	d.standbyMiss(billTo, sb.cs.Config.ID(), nil)
 	return nil
 }
 
-// teardownStandby releases a standby's processes without accounting —
+// teardownStandby releases a standby's workers without accounting —
 // the error and cancellation exits, where the trace is already
 // incomplete.
-func (d *distDriver) teardownStandby(sb *standbyState) {
-	if sb == nil || sb.ws == nil {
-		return
+func (d *driver) teardownStandby(sb *standby) {
+	if sb != nil && sb.dep != nil {
+		sb.dep.close()
 	}
-	sb.cancel()
-	sb.ws.Stop()
-	sb.ws.Wait()
-	sb.ln.Close()
 }
