@@ -1,7 +1,9 @@
-// Package checkpoint computes optimal checkpoint intervals. Hourglass
-// follows Flint and the paper (§5.1) in using Daly's first-order
-// result: the interval that minimises expected lost work given the
-// checkpoint cost and the mean time to failure.
+// Package checkpoint computes optimal checkpoint intervals and seals
+// checkpoint objects. Hourglass follows Flint and the paper (§5.1) in
+// using Daly's first-order result: the interval that minimises
+// expected lost work given the checkpoint cost and the mean time to
+// failure. Codec is the one CRC32 trailer both the in-process engine's
+// checkpoints and the dist plane's blobs and manifests are sealed with.
 package checkpoint
 
 import (

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"hourglass/internal/checkpoint"
 	"hourglass/internal/cloud"
 )
 
@@ -26,11 +27,11 @@ import (
 // own, so a session can resume under a different shard count — the
 // paper's §6 micro-partition reload across configurations.
 //
-// Blobs and manifests carry the engine checkpoint CRC trailer scheme
-// (magic + CRC32 over the payload), so a corrupt or truncated object
-// is detected and the coordinator falls back to the next-older
-// manifest whose whole blob set validates, mirroring
-// engine.CheckpointManager's fallback scan.
+// Blobs and manifests carry the checkpoint.Codec trailer the engine's
+// checkpoints also use (magic + CRC32 over the payload; the dist magic
+// is "HGDS"), so a corrupt or truncated object is detected and the
+// coordinator falls back to the next-older manifest whose whole blob
+// set validates, mirroring engine.CheckpointManager's fallback scan.
 //
 // Delta chains (§9 warm standby): a manifest may be a *delta* —
 // Parent names the parent manifest's superstep and ParentCRC pins the
@@ -46,12 +47,6 @@ import (
 // candidate so the fallback scan lands on the newest manifest whose
 // entire chain validates.
 
-// distMagic seals dist checkpoint objects ("HGDS").
-const distMagic = uint32(0x48474453)
-
-// sealTrailerLen is the magic + CRC32 trailer size.
-const sealTrailerLen = 8
-
 // ErrCorruptObject reports a dist checkpoint object that fails CRC or
 // structural validation.
 var ErrCorruptObject = errors.New("dist: corrupt checkpoint object")
@@ -59,29 +54,8 @@ var ErrCorruptObject = errors.New("dist: corrupt checkpoint object")
 // ErrNoCheckpoint reports an empty namespace (fresh job).
 var ErrNoCheckpoint = errors.New("dist: no checkpoint available")
 
-// seal appends the magic + CRC32 trailer.
-func seal(payload []byte) []byte {
-	out := make([]byte, len(payload)+sealTrailerLen)
-	copy(out, payload)
-	binary.LittleEndian.PutUint32(out[len(payload):], distMagic)
-	binary.LittleEndian.PutUint32(out[len(payload)+4:], crc32.ChecksumIEEE(payload))
-	return out
-}
-
-// unseal validates and strips the trailer.
-func unseal(blob []byte) ([]byte, error) {
-	if len(blob) < sealTrailerLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptObject, len(blob))
-	}
-	payload, trailer := blob[:len(blob)-sealTrailerLen], blob[len(blob)-sealTrailerLen:]
-	if binary.LittleEndian.Uint32(trailer[:4]) != distMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorruptObject)
-	}
-	if binary.LittleEndian.Uint32(trailer[4:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: CRC32 mismatch", ErrCorruptObject)
-	}
-	return payload, nil
-}
+// objects seals dist checkpoint blobs and manifests ("HGDS" trailer).
+var objects = checkpoint.Codec{Magic: 0x48474453, Corrupt: ErrCorruptObject}
 
 // namespacePrefix is the root of a job's dist keys.
 func namespacePrefix(job string) string { return fmt.Sprintf("dist/%s/", job) }
@@ -147,11 +121,11 @@ func (b *shardBlob) encode() []byte {
 		w.u32(uint32(len(b.Aux[i])))
 		w.b = append(w.b, b.Aux[i]...)
 	}
-	return seal(w.b)
+	return objects.Seal(w.b)
 }
 
 func decodeShardBlob(blob []byte) (*shardBlob, error) {
-	payload, err := unseal(blob)
+	payload, err := objects.Open(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +230,7 @@ func (m *manifest) encode() []byte {
 	w.u32(uint32(m.Parent + 1)) // 0 = full root
 	w.u32(uint32(m.Chain))
 	w.u32(m.ParentCRC)
-	return seal(w.b)
+	return objects.Seal(w.b)
 }
 
 // encodeSealed encodes the manifest and reports the seal CRC a child
@@ -268,7 +242,7 @@ func (m *manifest) encodeSealed() []byte {
 }
 
 func decodeManifest(blob []byte) (*manifest, error) {
-	payload, err := unseal(blob)
+	payload, err := objects.Open(blob)
 	if err != nil {
 		return nil, err
 	}

@@ -2,15 +2,14 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"sort"
 	"strings"
 	"sync"
 
+	"hourglass/internal/checkpoint"
 	"hourglass/internal/cloud"
 	"hourglass/internal/graph"
 	"hourglass/internal/units"
@@ -112,40 +111,12 @@ func (m *CheckpointManager) getRetry(key string) ([]byte, units.Seconds, error) 
 	return blob, xfer + delay, nil
 }
 
-// frameMagic seals the CRC trailer ("HGCR").
-const frameMagic = uint32(0x48474352)
-
-// frameTrailerLen is the sealFrame overhead in bytes.
-const frameTrailerLen = 8
-
 // ErrCorruptCheckpoint reports a checkpoint blob whose CRC32 trailer
 // is missing, truncated, or does not match the codec frames.
 var ErrCorruptCheckpoint = errors.New("engine: corrupt checkpoint frame")
 
-// sealFrame appends a magic + CRC32 (IEEE) trailer over the payload.
-func sealFrame(payload []byte) []byte {
-	out := make([]byte, len(payload)+frameTrailerLen)
-	copy(out, payload)
-	binary.LittleEndian.PutUint32(out[len(payload):], frameMagic)
-	binary.LittleEndian.PutUint32(out[len(payload)+4:], crc32.ChecksumIEEE(payload))
-	return out
-}
-
-// openFrame validates and strips the trailer, failing with
-// ErrCorruptCheckpoint on any mismatch (truncation included).
-func openFrame(blob []byte) ([]byte, error) {
-	if len(blob) < frameTrailerLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptCheckpoint, len(blob))
-	}
-	payload, trailer := blob[:len(blob)-frameTrailerLen], blob[len(blob)-frameTrailerLen:]
-	if binary.LittleEndian.Uint32(trailer[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic", ErrCorruptCheckpoint)
-	}
-	if binary.LittleEndian.Uint32(trailer[4:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: CRC32 mismatch", ErrCorruptCheckpoint)
-	}
-	return payload, nil
-}
+// frame seals engine checkpoint blobs ("HGCR" trailer).
+var frame = checkpoint.Codec{Magic: 0x48474352, Corrupt: ErrCorruptCheckpoint}
 
 // Save uploads a snapshot sealed with a CRC32 trailer and advances the
 // latest pointer, returning the virtual upload time (retry backoff
@@ -158,7 +129,7 @@ func (m *CheckpointManager) Save(s *Snapshot) (units.Seconds, error) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		return 0, err
 	}
-	t0, err := m.putRetry(m.key(s.Superstep), sealFrame(buf.Bytes()))
+	t0, err := m.putRetry(m.key(s.Superstep), frame.Seal(buf.Bytes()))
 	if err != nil {
 		return t0, err
 	}
@@ -178,7 +149,7 @@ func (m *CheckpointManager) loadKey(key string) (*Snapshot, units.Seconds, error
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := openFrame(blob)
+	payload, err := frame.Open(blob)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -219,8 +219,8 @@ func TestLoadDanglingPointerFallsBack(t *testing.T) {
 
 func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
 	payload := []byte("the quick brown fox")
-	sealed := sealFrame(payload)
-	back, err := openFrame(sealed)
+	sealed := frame.Seal(payload)
+	back, err := frame.Open(sealed)
 	if err != nil || string(back) != string(payload) {
 		t.Fatalf("round trip: %q, %v", back, err)
 	}
@@ -230,13 +230,13 @@ func TestFrameRoundTripAndCorruptionDetection(t *testing.T) {
 		sealed[:len(sealed)-1],       // truncated
 		append([]byte{0}, sealed...), // shifted
 	} {
-		if _, err := openFrame(tc); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, err := frame.Open(tc); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("blob %v accepted (err=%v)", tc, err)
 		}
 	}
 	flipped := append([]byte(nil), sealed...)
 	flipped[5] ^= 1
-	if _, err := openFrame(flipped); !errors.Is(err, ErrCorruptCheckpoint) {
+	if _, err := frame.Open(flipped); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Errorf("bit flip accepted (err=%v)", err)
 	}
 }
