@@ -43,9 +43,9 @@ type Event struct {
 	LastResort bool    `json:"last_resort,omitempty"` // chose the last-resort configuration
 
 	// Lifecycle fields (EvDeploy/EvEvict/EvCheckpoint/EvDone/EvSpend).
-	USD    float64 `json:"usd,omitempty"`   // spend delta (EvSpend) or total (EvDone)
-	DurSec float64 `json:"dur_s,omitempty"` // span length (deploy: wait+boot+load)
-	Reload bool    `json:"reload,omitempty"`
+	USD    float64 `json:"usd,omitempty"`    // spend delta (EvSpend) or total (EvDone)
+	DurSec float64 `json:"dur_s,omitempty"`  // span length (deploy: wait+boot+load)
+	Reload bool    `json:"reload,omitempty"` // deploy after a run's first: DurSec is recovery downtime (folded into RecoverySec)
 	Missed bool    `json:"missed,omitempty"`
 	Done   bool    `json:"done,omitempty"` // job finished (EvDone with Done=false = abandoned)
 
