@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -524,6 +525,30 @@ func TestDistRunClusterCancel(t *testing.T) {
 	_, restarts, rerr := ExecuteWithRecovery(ctx, cfg, FixedShards(3), 4, nil)
 	if rerr == nil || restarts != 0 {
 		t.Fatalf("ExecuteWithRecovery on a cancelled context: restarts=%d err=%v, want immediate abort", restarts, rerr)
+	}
+}
+
+// TestDialCancelledAwaitingWelcome: a shard that dialed a coordinator
+// which never accepts it (a worker set torn down before its session)
+// must still return once its context is cancelled.
+func TestDialCancelledAwaitingWelcome(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- Dial(ctx, ln.Addr().String(), ShardOptions{Store: cloud.NewDatastore()}) }()
+	time.Sleep(100 * time.Millisecond) // let the hello land in the accept backlog
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Dial returned %v, want context.Canceled in its chain", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dial ignored cancellation while awaiting the welcome")
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -16,6 +17,8 @@ import (
 	"hourglass/internal/engine"
 	"hourglass/internal/obs"
 	"hourglass/internal/runtime"
+	"hourglass/internal/sim"
+	"hourglass/internal/units"
 )
 
 // distGraph is the dist-plane input: built identically in every worker
@@ -285,6 +288,89 @@ func TestExecuteDistCancelStopsCluster(t *testing.T) {
 	if elapsed > opts.BarrierTimeout {
 		t.Fatalf("teardown took %v, budget %v", elapsed, opts.BarrierTimeout)
 	}
+}
+
+// settledLauncher gives each launched loopback set time to dial and
+// send its hello before the driver sees it, so a set dropped right
+// after boot is one whose workers already wait for a welcome.
+type settledLauncher struct{ *runtime.LoopbackLauncher }
+
+func (l settledLauncher) Launch(ctx context.Context, addr string, shards, attempt int, prefetchJob string) (*runtime.WorkerSet, error) {
+	ws, err := l.LoopbackLauncher.Launch(ctx, addr, shards, attempt, prefetchJob)
+	time.Sleep(200 * time.Millisecond)
+	return ws, err
+}
+
+// TestExecuteDistEvictedBeforeFirstSuperstep drops a worker set the
+// coordinator never served: the first (spot) deployment's price
+// crossing lands within one superstep of its compute-ready instant, so
+// the driver evicts it before its session starts. Its workers have
+// dialed and wait for a welcome that never comes; tearing the set down
+// must still release them, and the on-demand fallback must finish.
+func TestExecuteDistEvictedBeforeFirstSuperstep(t *testing.T) {
+	h := getHarness(t, "pagerank")
+	ref := distReference(t)
+	total := ref.Stats.Supersteps
+	spot := transientByCount(t, h.env, 8)
+	cs := statsFor(t, h.env, spot)
+	secPerStep := float64(cs.Exec) / float64(total)
+	ev := sim.Evictor{Market: h.env.Market}
+
+	start := units.Seconds(-1)
+	for i := 0; i < 2000 && start < 0; i++ {
+		s := units.Seconds(float64(i) * 1800)
+		avail, err := h.env.Market.NextAvailable(spot, s)
+		if err != nil {
+			continue
+		}
+		readyAt := avail + cs.Boot + cs.Load
+		if ne := ev.Next(spot, readyAt); !math.IsInf(float64(ne), 1) && float64(ne-readyAt) < secPerStep {
+			start = s
+		}
+	}
+	if start < 0 {
+		t.Fatal("no start offset puts a price crossing within one superstep of the spot deployment's ready instant")
+	}
+
+	store := cloud.NewDatastore()
+	sink := &listSink{}
+	prov := &scriptedProv{configs: []cloud.Config{spot, onDemandByCount(t, h.env, 4)}}
+	opts := h.distOptions(t, store, "dist-evict-early", prov, total,
+		settledLauncher{&runtime.LoopbackLauncher{Store: store, Logf: t.Logf}})
+	opts.Sink = sink
+	type result struct {
+		rep runtime.Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := runtime.ExecuteDist(context.Background(), opts, start, start+200_000)
+		done <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("ExecuteDist hung tearing down a worker set its coordinator never served")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !r.rep.Finished || r.rep.Evictions != 1 {
+		t.Fatalf("finished=%v evictions=%d, want a finished run with 1 eviction", r.rep.Finished, r.rep.Evictions)
+	}
+	if len(r.rep.ShardCounts) != 2 || r.rep.ShardCounts[0] != 8 || r.rep.ShardCounts[1] != 4 {
+		t.Fatalf("ShardCounts = %v, want [8 4]", r.rep.ShardCounts)
+	}
+	for _, e := range sink.snapshot() {
+		if e.Type == obs.EvEvict {
+			break
+		}
+		if e.Type == obs.EvSuperstep {
+			t.Fatalf("the spot deployment ran superstep %d before its eviction", e.Superstep)
+		}
+	}
+	assertBitIdentical(t, ref.Values, r.rep.Values)
 }
 
 // buildShardBinaryRT compiles cmd/hourglass-shard for the process
